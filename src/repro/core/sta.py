@@ -144,7 +144,7 @@ class TruePathSTA:
         """All true paths x sensitization-vector combinations.
 
         ``jobs`` > 1 shards the search across primary inputs in a
-        process pool (:func:`repro.perf.parallel_find_paths`) and
+        worker pool (:func:`repro.perf.supervised_find_paths`) and
         merges the per-origin streams in declaration order.
         """
         if jobs is not None and jobs > 1:

@@ -20,6 +20,7 @@ helpers operate on it.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -268,6 +269,11 @@ class MetricsRegistry:
 
 #: The process-wide default registry.
 REGISTRY = MetricsRegistry()
+
+# Worker pools fork from supervising threads: a fork taken while another
+# thread registers a metric must not leave the child's lock held.
+os.register_at_fork(
+    after_in_child=lambda: setattr(REGISTRY, "_lock", threading.Lock()))
 
 
 def counter(name: str, **labels: str) -> Counter:

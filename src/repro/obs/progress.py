@@ -5,11 +5,10 @@ Three pieces:
 * :class:`HeartbeatPublisher` -- worker-side.  Hooked into the path
   search (``PathFinder(progress=...)``), it publishes small plain-dict
   beats (origin, extensions tried, paths found, current best arrival)
-  onto a queue at a wall-clock-throttled rate, plus unconditional
-  ``started`` / ``done`` beats around each shard.  The queue is a
-  ``multiprocessing.Manager().Queue()`` proxy, which pickles through
-  the pool initializer; in-process shards publish straight into the
-  board with no queue at all.
+  to a sink at a wall-clock-throttled rate, plus unconditional
+  ``started`` / ``done`` beats around each shard.  Pooled shards
+  publish over their worker's task pipe, in-process shards straight
+  into the board.
 * :class:`ProgressBoard` -- parent-side.  Folds beats into per-origin
   state, derives totals (origins done/total, extensions/s, best bound,
   ETA from the origin completion rate) and remembers each origin's
@@ -41,8 +40,8 @@ class HeartbeatPublisher:
 
     Callable so it can be handed to ``PathFinder(progress=...)``; the
     finder invokes it periodically from the search loop.  ``sink`` is
-    anything with ``put(dict)`` (a manager queue proxy) or a plain
-    callable (the in-process board's ``update``).
+    anything with ``put(dict)`` (a queue) or a plain callable (a
+    worker's pipe sender, the in-process board's ``update``).
     """
 
     def __init__(self, sink, origin: str,
@@ -66,8 +65,8 @@ class HeartbeatPublisher:
                 "ts": time.time(),
             })
         except Exception:
-            # A torn-down manager (parent exiting) must never take the
-            # search down with it.
+            # A closed pipe (parent exiting) must never take the search
+            # down with it.
             pass
 
     def started(self) -> None:

@@ -1,13 +1,12 @@
 """Hot-path performance layer for the single-pass search.
 
-Two public entry points: :func:`parallel_find_paths`, the historical
-``(paths, stats)`` process-pool driver that shards the search across
-primary inputs (each origin's search is independent -- the paper's
-natural partition) and merges the per-origin streams back into the
-calling process, including its metrics registry; and
-:func:`supervised_find_paths`, the same pipeline returning the full
-:class:`~repro.resilience.supervisor.SupervisedResult` (per-origin
-completeness, resume accounting).  Both run under the
+One public entry point: :func:`supervised_find_paths`, the parallel
+driver that shards the search across primary inputs (each origin's
+search is independent -- the paper's natural partition), merges the
+per-origin streams back into the calling process, including its metrics
+registry, and returns the full
+:class:`~repro.resilience.supervisor.SupervisedResult` (paths, merged
+stats, per-origin completeness, resume accounting).  It runs under the
 :mod:`repro.resilience.supervisor` -- worker crashes, shard timeouts
 and SIGINT degrade or retry instead of killing the run.  The serial
 hot-path pieces (arc-resolution memoization, justify-skip) live
@@ -16,6 +15,6 @@ directly in :mod:`repro.core.delaycalc` and
 measure them and ``docs/ROBUSTNESS.md`` for the supervision knobs.
 """
 
-from repro.perf.parallel import parallel_find_paths, supervised_find_paths
+from repro.perf.parallel import supervised_find_paths
 
-__all__ = ["parallel_find_paths", "supervised_find_paths"]
+__all__ = ["supervised_find_paths"]

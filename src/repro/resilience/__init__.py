@@ -1,6 +1,6 @@
 """Resilience layer: the pipeline degrades instead of dying.
 
-Four cooperating pieces:
+Five cooperating pieces:
 
 * :mod:`repro.resilience.errors` -- structured error taxonomy with
   per-class exit codes, so the CLI maps every failure to a one-line
@@ -10,15 +10,17 @@ Four cooperating pieces:
   statuses for degraded-mode results;
 * :mod:`repro.resilience.checkpoint` -- atomic JSON snapshots of
   completed origins for crash/SIGINT survival and exact resume;
-* :mod:`repro.resilience.supervisor` -- the supervised parallel driver:
-  per-shard timeouts, worker-crash detection, bounded retry with
-  backoff, serial fallback, and clean SIGINT unwinding.
+* :mod:`repro.resilience.workers` -- the one supervised worker-process
+  pool, shared by the search and the service fleet;
+* :mod:`repro.resilience.supervisor` -- the supervised parallel driver
+  on that pool: per-shard timeouts, bounded retry with backoff, serial
+  fallback, and clean SIGINT unwinding.
 
 Only the leaf modules (errors, budgets) are re-exported here: the core
 search imports them, so pulling :mod:`~repro.resilience.supervisor`
 (which imports the core search back) into the package ``__init__``
-would create an import cycle.  Import the supervisor and checkpoint
-modules explicitly.
+would create an import cycle.  Import the supervisor, workers and
+checkpoint modules explicitly.
 
 Recovery events surface through :mod:`repro.obs` as ``resilience.*``
 metrics: ``shard_retries``, ``worker_crashes``, ``shard_timeouts``,

@@ -114,35 +114,28 @@ class Checkpoint:
 class CheckpointWriter:
     """Appends shard results to an on-disk checkpoint, atomically.
 
-    ``flush_every`` bounds how many completed shards a crash can lose
-    (default: flush after every shard -- one origin is minutes of work
-    on the circuits that need checkpoints at all).
+    Every recorded shard is flushed at once, so a crash loses at most
+    the shard in flight (one origin is minutes of work on the circuits
+    that need checkpoints at all).
     """
 
     def __init__(self, path: Union[str, Path], circuit_name: str,
-                 fingerprint: str, flush_every: int = 1):
+                 fingerprint: str):
         self.path = Path(path)
         self.checkpoint = Checkpoint(circuit_name, fingerprint)
-        self.flush_every = max(1, flush_every)
-        self._dirty = 0
 
     def record(self, origin: str, status: str, paths: Sequence[TimedPath],
                stats: Dict[str, float], deltas: Dict[str, int]) -> None:
         self.checkpoint.record(origin, status, paths, stats, deltas)
-        self._dirty += 1
-        if self._dirty >= self.flush_every:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
-        if self._dirty == 0:
-            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         temporary = self.path.with_suffix(
             self.path.suffix + f".tmp{os.getpid()}"
         )
         temporary.write_text(json.dumps(self.checkpoint.to_dict()))
         temporary.replace(self.path)
-        self._dirty = 0
         _log.debug("checkpoint.flushed", path=str(self.path),
                    shards=len(self.checkpoint.shards))
 

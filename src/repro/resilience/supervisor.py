@@ -1,23 +1,21 @@
 """Supervised parallel search: the driver that refuses to die.
 
-The plain process-pool driver (PR 2) is all-or-nothing: one crashed
-worker poisons the whole pool, one hung shard stalls the run forever,
-and SIGINT unwinds through a child-process traceback storm with every
-completed shard's work lost.  :class:`ShardSupervisor` wraps the same
-shard/merge pipeline in a supervision loop:
+:class:`ShardSupervisor` runs the per-origin shards on the shared
+:class:`~repro.resilience.workers.WorkerPool` -- one long-lived forked
+worker per slot, one shard at a time per worker -- and applies its own
+retry policy to each attempt the pool reports:
 
-* **Worker crashes** (``BrokenProcessPool``): the pool is rebuilt and
-  every in-flight shard is re-queued.  A dead worker poisons all
-  in-flight futures identically, so with several shards in flight the
-  crasher cannot be identified; the casualties are then refunded and
-  quarantined to run one at a time until a solo crash assigns blame.
-  Only unambiguous crashes charge the bounded retry budget, with
+* **Worker crashes** (pipe EOF or a dead process): a crash always names
+  its shard, which is re-queued against a bounded retry budget with
   exponential backoff (``resilience.worker_crashes`` /
   ``resilience.shard_retries``).
-* **Shard timeouts**: each pooled shard attempt carries a wall-clock
-  deadline; an expired shard's pool is torn down (hung worker processes
-  are terminated) and the shard re-queued
-  (``resilience.shard_timeouts``).
+* **Shard timeouts / heartbeat stalls**: the pool kills the worker of a
+  shard past its wall-clock deadline (``resilience.shard_timeouts``);
+  the supervisor kills the worker of a shard whose progress beats --
+  sent over the task pipe, folded into the
+  :class:`~repro.obs.progress.ProgressBoard` on this thread -- went
+  silent (``resilience.heartbeat_stalls``).  Either way only that shard
+  is re-queued.
 * **Retry exhaustion**: the shard falls back to an in-process serial
   run -- worker-environment faults cannot follow it there.  If even
   that fails, the origin is recorded as ``failed`` with zero paths and
@@ -26,15 +24,14 @@ shard/merge pipeline in a supervision loop:
   resilience taxonomy (e.g. a missing arc under the ``error`` policy)
   abort the run, because they are deterministic decisions, not
   infrastructure failures.
-* **SIGINT**: the pool is shut down cleanly (workers ignore SIGINT, so
-  there is no child traceback storm), completed-shard results and
-  merged metrics are preserved, the checkpoint is flushed, and
+* **SIGINT**: workers ignore SIGINT; the pool is shut down,
+  completed-shard results and merged metrics are preserved, and
   :class:`~repro.resilience.errors.SearchInterrupted` carries the
   partial result out.
 * **Checkpoint/resume**: completed origins stream to a JSON snapshot
-  (:mod:`repro.resilience.checkpoint`); a resumed run adopts them
-  without re-searching and reproduces the exact path set of an
-  uninterrupted run.
+  (:mod:`repro.resilience.checkpoint`), flushed after every shard; a
+  resumed run adopts them without re-searching and reproduces the exact
+  path set of an uninterrupted run.
 
 The merge stays byte-identical to the serial search: results are
 collected per origin *index* and concatenated in declaration order, no
@@ -48,12 +45,10 @@ leaf modules :mod:`repro.resilience.budgets` and
 
 from __future__ import annotations
 
-import signal
+import queue
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.charlib.store import CharacterizedLibrary
@@ -64,13 +59,7 @@ from repro.core.pathfinder import PathFinder, SearchStats
 from repro.netlist.circuit import Circuit
 from repro.obs import export as obs_export
 from repro.obs import metrics as obs_metrics
-from repro.obs import tracing as obs_tracing
-from repro.obs.aggregate import (
-    RegistryShipper,
-    ShardTelemetry,
-    merge_shard_telemetry,
-    record_resource_usage,
-)
+from repro.obs.aggregate import record_resource_usage
 from repro.obs.logging import get_logger
 from repro.obs.progress import (
     HeartbeatPublisher,
@@ -84,25 +73,23 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
 )
 from repro.resilience.errors import ResilienceError, SearchInterrupted
+from repro.resilience.workers import (
+    CRASHED,
+    FINISHED,
+    POLL_SECONDS,
+    TIMED_OUT,
+    Attempt,
+    PoolTask,
+    WorkerPool,
+)
 
 _log = get_logger("repro.resilience")
-
-#: Supervision loop poll period (seconds): how often deadlines are
-#: checked while waiting on in-flight shards.
-_POLL_SECONDS = 0.05
-
-#: Per-process worker context, set by the pool initializer.
-_WORKER: Optional[Tuple] = None
 
 #: One shard's wire format: paths, SearchStats.as_dict(), delaycalc
 #: counter deltas, per-origin completeness outcome dicts.
 ShardResult = Tuple[
     List[TimedPath], Dict[str, float], Dict[str, int], Dict[str, Dict]
 ]
-
-#: What a pooled shard ships home: the result plus the worker's
-#: registry/span delta (:mod:`repro.obs.aggregate`).
-ShardShipment = Tuple[ShardResult, ShardTelemetry]
 
 #: The delaycalc counters folded across shards into the parent registry.
 DELTA_KEYS = (
@@ -115,21 +102,8 @@ DELTA_KEYS = (
 
 def _init_worker(circuit: Circuit, charlib: CharacterizedLibrary,
                  calc_kwargs: Dict, finder_kwargs: Dict,
-                 fault_plan: object, obs_config: Dict,
-                 beat_queue: object, compiled_tables: object = None) -> None:
-    # Workers ignore SIGINT: the parent owns interruption, so a Ctrl-C
-    # does not spray one KeyboardInterrupt traceback per child.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Mirror the parent's observability switches (a fork inherits them,
-    # a spawn does not) and start this worker's telemetry shipper from
-    # a clean slate: whatever the registry holds now predates the first
-    # shard and must not ship.
-    if obs_config.get("tracing"):
-        obs_tracing.enable()
-    if obs_config.get("events"):
-        obs_tracing.capture_events()
-        obs_tracing.drain_events()
-    global _WORKER
+                 fault_plan: object, beats: bool,
+                 compiled_tables: object = None) -> Tuple:
     ec = EngineCircuit(circuit)
     # The parent's compiled timing tables (slew fixed point, worst-arc
     # delays, pruning bounds) are derived purely from circuit + corner:
@@ -137,9 +111,7 @@ def _init_worker(circuit: Circuit, charlib: CharacterizedLibrary,
     # sweeps once per worker process.
     calc = DelayCalculator(ec, charlib, compiled=compiled_tables,
                            **calc_kwargs)
-    shipper = RegistryShipper()
-    shipper.collect("__init__")  # absorb pre-shard registry state
-    _WORKER = (ec, calc, finder_kwargs, fault_plan, shipper, beat_queue)
+    return ec, calc, finder_kwargs, fault_plan, beats
 
 
 def run_shard(ec: EngineCircuit, calc: DelayCalculator, finder_kwargs: Dict,
@@ -148,9 +120,15 @@ def run_shard(ec: EngineCircuit, calc: DelayCalculator, finder_kwargs: Dict,
     """One shard's search, in whatever process this runs in."""
     before = (calc.arc_evaluations, calc.arc_cache_hits,
               calc.arc_cache_misses, calc.arc_substitutions)
+    if progress is not None:
+        progress.started()
     finder = PathFinder(ec, calc, progress=progress, **finder_kwargs)
     with finder.find_paths(inputs=origins) as stream:
         paths = list(stream)
+    if progress is not None:
+        progress.done(
+            extensions=finder.stats.extensions_tried, paths=len(paths),
+            best=max((p.worst_arrival for p in paths), default=None))
     deltas = {
         "delaycalc.arc_evaluations": calc.arc_evaluations - before[0],
         "delaycalc.arc_cache_hits": calc.arc_cache_hits - before[1],
@@ -164,34 +142,19 @@ def run_shard(ec: EngineCircuit, calc: DelayCalculator, finder_kwargs: Dict,
     return paths, finder.stats.as_dict(), deltas, outcomes
 
 
-def _search_shard(origin: str, attempt: int) -> ShardShipment:
-    ec, calc, finder_kwargs, fault_plan, shipper, beat_queue = _WORKER
+def _search_shard(state: Tuple, payload: Tuple[str, int],
+                  emit) -> ShardResult:
+    """Pool task: one origin's search in a worker; beats go out over
+    the task pipe."""
+    ec, calc, finder_kwargs, fault_plan, beats = state
+    origin, attempt = payload
     if fault_plan is not None:
         fault_plan.before_shard(origin, attempt, in_worker=True)
-    publisher = (HeartbeatPublisher(beat_queue, origin)
-                 if beat_queue is not None else None)
-    if publisher is not None:
-        publisher.started()
-    try:
-        result = run_shard(ec, calc, finder_kwargs, [origin],
-                           progress=publisher)
-    except Exception:
-        # A failed attempt will be retried elsewhere; absorb whatever
-        # the aborted search already recorded into the shipper baseline
-        # so the *next* shard on this worker does not ship it.
-        shipper.collect(origin)
-        raise
+    result = run_shard(ec, calc, finder_kwargs, [origin],
+                       progress=HeartbeatPublisher(emit, origin)
+                       if beats else None)
     record_resource_usage()
-    telemetry = shipper.collect(origin)
-    if publisher is not None:
-        stats = result[1]
-        paths = result[0]
-        publisher.done(
-            extensions=int(stats.get("extensions_tried", 0)),
-            paths=len(paths),
-            best=max((p.worst_arrival for p in paths), default=None),
-        )
-    return result, telemetry
+    return result
 
 
 @dataclass(frozen=True)
@@ -213,14 +176,14 @@ class SupervisorConfig:
     serial_fallback: bool = True
     checkpoint_path: Optional[str] = None
     resume_path: Optional[str] = None
-    checkpoint_flush_every: int = 1
     #: Render a throttled live progress line (origins done/total,
     #: extensions, best bound, ETA) on stderr.
     progress: bool = False
     #: Treat a pooled shard whose *heartbeat* goes silent this long as
-    #: hung (pool teardown + retry, like a deadline expiry) -- unlike
-    #: ``shard_timeout`` this distinguishes a stalled shard from a
-    #: merely slow one, which keeps beating.  None disables.
+    #: hung (its worker is killed and the shard retried, like a
+    #: deadline expiry) -- unlike ``shard_timeout`` this distinguishes a
+    #: stalled shard from a merely slow one, which keeps beating.  None
+    #: disables.
     heartbeat_timeout: Optional[float] = None
 
 
@@ -240,18 +203,15 @@ class SupervisedResult:
         return not self.completeness.complete
 
 
-@dataclass(eq=False)  # identity semantics: shards live in sets/dicts
+@dataclass(eq=False)  # identity semantics: compared in retry entries
 class _Shard:
     """Supervisor-side bookkeeping for one origin."""
 
-    index: int
     origin: str
     attempts: int = 0
     result: Optional[ShardResult] = None
     status: str = "pending"
-    deadline: Optional[float] = None
     submitted_at: Optional[float] = None
-    fallback_error: Optional[str] = None
     #: Metrics for this shard already landed in the parent registry
     #: (telemetry merge for pooled shards, direct publication for
     #: in-process ones); the merge must not publish them again.
@@ -292,10 +252,6 @@ class ShardSupervisor:
         self._completed_count = 0
         self._writer: Optional[CheckpointWriter] = None
         self._board: Optional[ProgressBoard] = None
-        self._beat_queue = None  # manager-queue proxy (pooled + board)
-        # Shards caught in a pool break whose blame was ambiguous; run
-        # one at a time until the crasher identifies itself solo.
-        self._suspects: set = set()
         self.metrics = {
             "worker_crashes": 0,
             "shard_timeouts": 0,
@@ -322,8 +278,7 @@ class ShardSupervisor:
 
     # ------------------------------------------------------------------
     def run(self, origins: Sequence[str]) -> SupervisedResult:
-        shards = [_Shard(index, origin)
-                  for index, origin in enumerate(origins)]
+        shards = [_Shard(origin) for origin in origins]
         if self.config.progress or self.config.heartbeat_timeout is not None:
             renderer = ProgressRenderer() if self.config.progress else None
             self._board = ProgressBoard(len(shards), renderer=renderer)
@@ -336,7 +291,6 @@ class ShardSupervisor:
         if self.config.checkpoint_path:
             self._writer = CheckpointWriter(
                 self.config.checkpoint_path, self.circuit.name, fingerprint,
-                flush_every=self.config.checkpoint_flush_every,
             )
             # Carry adopted shards forward so a later resume of the new
             # checkpoint still covers them.
@@ -360,8 +314,6 @@ class ShardSupervisor:
         except KeyboardInterrupt:
             interrupted = True
         finally:
-            if self._writer is not None:
-                self._writer.flush()
             if self._board is not None:
                 self._board.close()
 
@@ -411,30 +363,15 @@ class ShardSupervisor:
                            origin=shard.origin, status=shard.status)
 
     # ------------------------------------------------------------------
-    def _finish_shard(self, shard: _Shard, result: ShardResult,
-                      telemetry: Optional[ShardTelemetry] = None,
-                      in_process: bool = False) -> None:
-        self._suspects.discard(shard)
+    def _finish_shard(self, shard: _Shard, result: ShardResult) -> None:
+        """Take a shard's result, whose metrics already reached this
+        registry: merged by :meth:`~repro.resilience.workers.Attempt.accept`
+        for a pooled attempt, published at stream close in-process."""
         shard.result = result
-        if telemetry is not None:
-            # Pooled shard: fold the worker's registry/span delta into
-            # this process's registry (counters add, histograms merge,
-            # gauges keep a shard label, trace events land on the
-            # worker's lane).
-            merge_shard_telemetry(telemetry)
-            shard.published = True
-        elif in_process:
-            # The in-process search already published straight into
-            # this registry at stream close.
-            shard.published = True
+        shard.published = True
         outcome = result[3].get(shard.origin)
         shard.status = outcome["status"] if outcome else "complete"
         self._completed_count += 1
-        if self._board is not None and telemetry is None:
-            self._board.mark_done(
-                shard.origin, paths=len(result[0]),
-                extensions=int(result[1].get("extensions_tried", 0)),
-            )
         self._record_checkpoint(shard)
         if (self.fault_plan is not None
                 and getattr(self.fault_plan, "interrupt_after", None)
@@ -447,7 +384,6 @@ class ShardSupervisor:
     def _fail_shard(self, shard: _Shard, reason: str) -> None:
         """Retries and fallback exhausted: degrade, don't die."""
         shard.status = "failed"
-        shard.fallback_error = reason
         shard.result = (
             [], SearchStats().as_dict(), {key: 0 for key in DELTA_KEYS},
             {shard.origin: OriginOutcome(shard.origin, "failed").as_dict()},
@@ -471,7 +407,6 @@ class ShardSupervisor:
                 shard,
                 run_shard(ec, calc, self.finder_kwargs, [shard.origin],
                           progress=self._local_progress(shard.origin)),
-                in_process=True,
             )
 
     def _local_progress(self, origin: str) -> Optional[HeartbeatPublisher]:
@@ -481,210 +416,117 @@ class ShardSupervisor:
         return HeartbeatPublisher(self._board.update, origin)
 
     # ------------------------------------------------------------------
-    def _make_pool(self) -> ProcessPoolExecutor:
-        obs_config = {
-            "tracing": obs_tracing.enabled(),
-            "events": obs_tracing.events_enabled(),
-        }
-        return ProcessPoolExecutor(
-            max_workers=self.config.jobs,
-            initializer=_init_worker,
-            initargs=(self.circuit, self.charlib, self.calc_kwargs,
-                      self.finder_kwargs, self.fault_plan, obs_config,
-                      self._beat_queue, self.compiled_tables),
-        )
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting on hung workers."""
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-
     def _run_pooled(self, pending: List[_Shard]) -> None:
         config = self.config
-        queue: Deque[_Shard] = deque(pending)
-        in_flight: Dict[Future, _Shard] = {}
+        todo: Deque[_Shard] = deque(pending)
         retry_at: List[Tuple[float, _Shard]] = []
-        manager = None
-        if self._board is not None:
-            import multiprocessing
-
-            manager = multiprocessing.Manager()
-            self._beat_queue = manager.Queue()
-        pool = self._make_pool()
+        in_flight: Dict[PoolTask, _Shard] = {}
+        # Beats and finished attempts arrive on the pool's supervising
+        # threads; this queue hands both to this thread, in pipe order.
+        events: "queue.Queue[Tuple[str, object]]" = queue.Queue()
+        pool = WorkerPool(
+            config.jobs, _init_worker,
+            (self.circuit, self.charlib, self.calc_kwargs,
+             self.finder_kwargs, self.fault_plan, self._board is not None,
+             self.compiled_tables),
+            _search_shard, name="shard",
+            on_message=lambda _task, beat: events.put(("beat", beat)),
+        )
         try:
-            while queue or in_flight or retry_at:
+            while todo or in_flight or retry_at:
                 now = time.monotonic()
                 # Promote retries whose backoff has elapsed.
-                due = [entry for entry in retry_at if entry[0] <= now]
-                for entry in due:
+                for entry in [e for e in retry_at if e[0] <= now]:
                     retry_at.remove(entry)
-                    queue.append(entry[1])
-                while queue and len(in_flight) < config.jobs:
-                    if self._suspects:
-                        # Quarantine: blame for the last pool break was
-                        # ambiguous, so suspects run strictly alone --
-                        # the next break identifies the crasher.
-                        if in_flight:
-                            break
-                        idx = next((i for i, s in enumerate(queue)
-                                    if s in self._suspects), None)
-                        if idx is None:
-                            break
-                        shard = queue[idx]
-                        del queue[idx]
-                    else:
-                        shard = queue.popleft()
-                    future = pool.submit(_search_shard, shard.origin,
-                                         shard.attempts)
+                    todo.append(entry[1])
+                while todo and len(in_flight) < config.jobs:
+                    shard = todo.popleft()
+                    task = pool.submit((shard.origin, shard.attempts),
+                                       label=shard.origin,
+                                       timeout=config.shard_timeout)
+                    task.future.add_done_callback(
+                        lambda _f, task=task: events.put(("done", task)))
                     shard.attempts += 1
                     shard.submitted_at = time.monotonic()
-                    shard.deadline = (
-                        shard.submitted_at + config.shard_timeout
-                        if config.shard_timeout is not None else None
-                    )
                     if self._board is not None:
                         # A stale beat from a previous attempt must not
                         # mask a silent retry.
                         self._board.last_beat.pop(shard.origin, None)
-                    in_flight[future] = shard
+                    in_flight[task] = shard
                 if not in_flight:
                     # Only backed-off retries remain: sleep to the next.
-                    if retry_at:
-                        time.sleep(
-                            max(0.0, min(t for t, _ in retry_at)
-                                - time.monotonic())
-                        )
+                    time.sleep(max(0.0, min(t for t, _ in retry_at)
+                                   - time.monotonic()))
                     continue
-                done, _ = wait(list(in_flight), timeout=_POLL_SECONDS,
-                               return_when=FIRST_COMPLETED)
-                self._drain_beats()
-                pool_broken = False
-                broken: List[_Shard] = []
-                for future in done:
-                    shard = in_flight.pop(future)
-                    try:
-                        result, telemetry = future.result()
-                    except BrokenProcessPool:
-                        broken.append(shard)
-                        pool_broken = True
-                    except ResilienceError:
-                        # Policy decision (missing arc under `error`,
-                        # checkpoint mismatch...): deterministic, so a
-                        # retry cannot help -- propagate.
-                        raise
-                    except Exception as exc:  # worker raised: retry
-                        _log.warning("supervisor.shard_error",
-                                     origin=shard.origin,
-                                     attempt=shard.attempts, error=str(exc))
-                        self._requeue(shard, queue, retry_at)
-                    else:
-                        self._finish_shard(shard, result,
-                                           telemetry=telemetry)
-                if pool_broken:
-                    # A dead worker poisons every in-flight future with
-                    # the same BrokenProcessPool, so the executor cannot
-                    # say which shard crashed.  Charge the retry budget
-                    # only when blame is unambiguous (a single shard was
-                    # in flight); otherwise refund all casualties and
-                    # quarantine them to run one at a time.
-                    casualties = broken + list(in_flight.values())
-                    in_flight.clear()
-                    self.metrics["worker_crashes"] += 1
-                    obs_export.instant(
-                        "resilience.worker_crash",
-                        origins=",".join(s.origin for s in casualties))
-                    _log.warning(
-                        "supervisor.worker_crash",
-                        origins=",".join(s.origin for s in casualties))
-                    if len(casualties) == 1:
-                        self._requeue(casualties[0], queue, retry_at)
-                    else:
-                        for shard in casualties:
-                            shard.attempts -= 1  # blame unproven
-                            self._suspects.add(shard)
-                            queue.append(shard)
-                    self._kill_pool(pool)
-                    pool = self._make_pool()
-                    continue
-                # Deadline sweep: a hung worker cannot be cancelled, so
-                # the whole pool is torn down and survivors re-queued.
-                now = time.monotonic()
-                expired = [
-                    (future, shard) for future, shard in in_flight.items()
-                    if shard.deadline is not None and now > shard.deadline
-                ]
-                for _future, shard in expired:
-                    self.metrics["shard_timeouts"] += 1
-                    obs_export.instant("resilience.shard_timeout",
-                                       origin=shard.origin,
-                                       attempt=shard.attempts)
-                    _log.warning("supervisor.shard_timeout",
-                                 origin=shard.origin,
-                                 attempt=shard.attempts,
-                                 timeout=config.shard_timeout)
-                # Heartbeat sweep: a shard whose beats went silent is
-                # stalled (a slow one keeps beating); same teardown.
-                if (config.heartbeat_timeout is not None
-                        and self._board is not None):
-                    flagged = {shard for _f, shard in expired}
-                    for future, shard in in_flight.items():
-                        if shard in flagged:
-                            continue
-                        age = self._board.beat_age(shard.origin)
-                        if age is None and shard.submitted_at is not None:
-                            age = now - shard.submitted_at
-                        if age is not None and age > config.heartbeat_timeout:
-                            expired.append((future, shard))
-                            self.metrics["heartbeat_stalls"] += 1
-                            obs_export.instant(
-                                "resilience.heartbeat_stall",
-                                origin=shard.origin, silent_s=round(age, 3))
-                            _log.warning("supervisor.heartbeat_stall",
-                                         origin=shard.origin,
-                                         attempt=shard.attempts,
-                                         silent_s=age)
-                if expired:
-                    expired_shards = {shard for _f, shard in expired}
-                    for future, shard in list(in_flight.items()):
-                        if shard in expired_shards:
-                            self._requeue(shard, queue, retry_at)
+                try:
+                    event = events.get(timeout=POLL_SECONDS)
+                    while True:
+                        kind, item = event
+                        if kind == "beat":
+                            self._board.update(item)
                         else:
-                            shard.attempts -= 1  # innocent casualty
-                            queue.append(shard)
-                    in_flight.clear()
-                    self._kill_pool(pool)
-                    pool = self._make_pool()
-        except KeyboardInterrupt:
-            self._kill_pool(pool)
-            raise
-        else:
-            pool.shutdown()
+                            self._settle(in_flight.pop(item),
+                                         item.future.result(), todo,
+                                         retry_at)
+                        event = events.get_nowait()
+                except queue.Empty:
+                    pass
+                if config.heartbeat_timeout is not None:
+                    self._kill_stalled(pool, in_flight)
         finally:
-            self._drain_beats()
-            if manager is not None:
-                self._beat_queue = None
-                manager.shutdown()
+            pool.shutdown()
 
-    def _drain_beats(self) -> None:
-        if self._beat_queue is None or self._board is None:
+    def _settle(self, shard: _Shard, attempt: Attempt,
+                todo: Deque[_Shard],
+                retry_at: List[Tuple[float, _Shard]]) -> None:
+        """Apply the retry policy to one finished pooled attempt."""
+        if attempt.status == FINISHED and attempt.error is None:
+            self._finish_shard(shard, attempt.accept())
             return
-        while True:
-            try:
-                beat = self._beat_queue.get_nowait()
-            except Exception:  # queue.Empty, or a torn-down manager
-                break
-            self._board.update(beat)
+        if attempt.status == FINISHED:
+            if isinstance(attempt.error, ResilienceError):
+                # Policy decision (missing arc under `error`, checkpoint
+                # mismatch...): deterministic, so a retry cannot help.
+                raise attempt.error
+            _log.warning("supervisor.shard_error", origin=shard.origin,
+                         attempt=shard.attempts, error=str(attempt.error))
+        elif attempt.status == CRASHED:
+            self.metrics["worker_crashes"] += 1
+            obs_export.instant("resilience.worker_crash",
+                               origins=shard.origin)
+            _log.warning("supervisor.worker_crash", origins=shard.origin,
+                         exitcode=attempt.exitcode)
+        elif attempt.status == TIMED_OUT:
+            self.metrics["shard_timeouts"] += 1
+            obs_export.instant("resilience.shard_timeout",
+                               origin=shard.origin, attempt=shard.attempts)
+            _log.warning("supervisor.shard_timeout", origin=shard.origin,
+                         attempt=shard.attempts,
+                         timeout=self.config.shard_timeout)
+        # KILLED: a heartbeat stall, already counted by _kill_stalled.
+        self._requeue(shard, todo, retry_at)
 
-    def _requeue(self, shard: _Shard, queue: Deque[_Shard],
+    def _kill_stalled(self, pool: WorkerPool,
+                      in_flight: Dict[PoolTask, _Shard]) -> None:
+        """Kill the worker of every shard whose beats went silent (a
+        slow shard keeps beating; a stalled one does not)."""
+        now = time.monotonic()
+        for task, shard in in_flight.items():
+            age = self._board.beat_age(shard.origin)
+            if age is None:
+                age = now - shard.submitted_at
+            if age > self.config.heartbeat_timeout and pool.kill(task):
+                self.metrics["heartbeat_stalls"] += 1
+                obs_export.instant("resilience.heartbeat_stall",
+                                   origin=shard.origin, silent_s=round(age, 3))
+                _log.warning("supervisor.heartbeat_stall",
+                             origin=shard.origin, attempt=shard.attempts,
+                             silent_s=age)
+
+    def _requeue(self, shard: _Shard, todo: Deque[_Shard],
                  retry_at: List[Tuple[float, _Shard]]) -> None:
         """Schedule a failed attempt for retry, or exhaust into the
         serial fallback."""
-        self._suspects.discard(shard)  # blame assigned: quarantine over
         if shard.attempts <= self.config.shard_retries:
             self.metrics["shard_retries"] += 1
             obs_export.instant("resilience.shard_retry",
@@ -693,7 +535,7 @@ class ShardSupervisor:
             if backoff > 0:
                 retry_at.append((time.monotonic() + backoff, shard))
             else:
-                queue.append(shard)
+                todo.append(shard)
             return
         if self.config.serial_fallback:
             self.metrics["serial_fallbacks"] += 1
@@ -707,7 +549,6 @@ class ShardSupervisor:
                     shard,
                     run_shard(ec, calc, self.finder_kwargs, [shard.origin],
                               progress=self._local_progress(shard.origin)),
-                    in_process=True,
                 )
             except KeyboardInterrupt:
                 raise

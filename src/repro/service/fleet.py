@@ -14,15 +14,13 @@ request attempt:
   construction (and both byte-identical to the one-shot CLI, because
   ``run_work`` calls the shared execution layer in
   :mod:`repro.service.requests`).
-* :class:`WorkerFleet` -- N ``multiprocessing`` workers, each paired
-  with a parent-side supervising thread that feeds it tasks from a
-  shared queue and watches for crashes (pipe EOF / dead process),
-  hangs (per-request hard deadline derived from the QoS wall budget),
-  and preemption requests.  The supervision idiom mirrors
-  :class:`repro.resilience.supervisor.ShardSupervisor`: crash detection,
-  bounded retry with exponential backoff
-  (``retry_backoff * 2**attempt``), kill-and-respawn on a tripped
-  deadline.  Counters: ``service.worker_crashes``,
+* :class:`WorkerFleet` -- service policy over the shared
+  :class:`repro.resilience.workers.WorkerPool` (the pool the supervised
+  search runs its shards on), which reports each attempt as finished,
+  crashed, timed out (the hard deadline derived from the QoS wall
+  budget) or killed: bounded crash retry with exponential backoff
+  (``retry_backoff * 2**attempt``), structured timeouts, hog
+  preemption.  Counters: ``service.worker_crashes``,
   ``service.request_retries``, ``service.worker_timeouts``,
   ``service.worker_respawns``, ``service.preemptions``.
 * :class:`ThreadedExecutor` -- the deterministic in-process fallback at
@@ -48,20 +46,21 @@ OOM kill.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue
-import stat
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro import obs
 from repro.obs import metrics as obs_metrics
-from repro.obs.aggregate import RegistryShipper, merge_shard_telemetry
 from repro.resilience.errors import ConfigError, ResilienceError
+from repro.resilience.workers import (
+    FINISHED,
+    KILLED,
+    TIMED_OUT,
+    Attempt,
+    WorkerPool,
+)
 from repro.service.cache import HotCache
 from repro.service.protocol import (
     ProtocolError,
@@ -224,239 +223,22 @@ class ThreadedExecutor:
 # Worker fleet
 
 
-def _close_inherited_sockets(keep_fd: int) -> None:
-    """Close socket fds a forked worker inherited from the acceptor.
-
-    A worker holding a duplicate of a client connection (or the listen
-    socket) keeps that peer's EOF from ever reaching the acceptor, so
-    disconnects would hang until the worker died.  The task pipe
-    (``keep_fd``) is itself a socketpair and is preserved; non-socket
-    fds (log files, the multiprocessing resource tracker) are left
-    alone.
-    """
-    try:
-        fds = [int(name) for name in os.listdir("/proc/self/fd")]
-    except (OSError, ValueError):  # pragma: no cover - non-Linux
-        return
-    for fd in fds:
-        if fd <= 2 or fd == keep_fd:
-            continue
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:
-            continue
+def _worker_init(cache_size: int) -> HotCache:
+    """Worker state: a private cache of built analysis contexts."""
+    return HotCache(cache_size, name="worker_cache")
 
 
-def _worker_main(conn, cache_size: int) -> None:
-    """Long-lived worker loop: recv a (spec, attempt) task, run it
-    against a worker-local context cache, send the frames back.
-
-    Exits on pipe EOF (parent died or shut the fleet down) so orphaned
-    workers cannot outlive the daemon.  Each answer ships the worker's
-    registry *delta* (:class:`~repro.obs.aggregate.RegistryShipper`, the
-    PR 6 shard idiom) so the acceptor's metrics still see fleet work.
-    """
-    _close_inherited_sockets(conn.fileno())
-    contexts = HotCache(cache_size, name="worker_cache")
-    shipper = RegistryShipper()
-    shipper.collect("__init__")  # absorb fork-inherited registry state
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        if message is None:
-            break
-        spec, attempt = message
-        fault = spec.get("fleet_fault") or {}
-        if attempt in tuple(fault.get("crash_attempts", ())):
-            # Hard death before any compute: skips every finally/atexit,
-            # exactly like an OOM kill of the worker.
-            os._exit(int(fault.get("crash_exit_code", 23)))
-        if attempt in tuple(fault.get("hang_attempts", ())):
-            time.sleep(float(fault.get("hang_s", 30.0)))
-        frames = run_work(spec, contexts)
-        telemetry = shipper.collect(f"fleet-pid{os.getpid()}")
-        try:
-            conn.send((frames, telemetry))
-        except (BrokenPipeError, OSError):
-            break
-
-
-def _fork_context():
-    """Prefer ``fork`` (workers inherit the warm charlib memo and start
-    in milliseconds); fall back to the platform default elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-@dataclass
-class _Task:
-    spec: Dict[str, Any]
-    attempt: int
-    future: Future = field(default_factory=Future)
-
-
-_STOP = object()
-
-#: Supervision poll period (matches the resilience supervisor).
-_POLL_SECONDS = 0.05
-
-
-class _WorkerSlot:
-    """One worker process plus its parent-side supervising thread."""
-
-    def __init__(self, fleet: "WorkerFleet", index: int):
-        self.fleet = fleet
-        self.index = index
-        self.process = None
-        self.conn = None
-        #: The task currently executing in this slot's worker (read by
-        #: the preemption scan; plain attribute, GIL-consistent).
-        self.current: Optional[_Task] = None
-        self.preempt_requested = False
-        self.thread = threading.Thread(
-            target=self._run, daemon=True,
-            name=f"repro-fleet-supervisor-{index}")
-        self.thread.start()
-
-    # -- worker lifecycle --------------------------------------------------
-
-    def _spawn(self) -> None:
-        ctx = _fork_context()
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.fleet.cache_size),
-            name=f"repro-fleet-worker-{self.index}",
-        )
-        process.start()
-        child_conn.close()
-        self.process, self.conn = process, parent_conn
-        obs.counter("service.worker_respawns").inc()
-        _log.info("fleet.worker_spawned", slot=self.index,
-                  pid=process.pid)
-
-    def _ensure_worker(self) -> None:
-        if self.process is None or not self.process.is_alive():
-            self._kill_worker()
-            self._spawn()
-
-    def _kill_worker(self) -> None:
-        process, conn = self.process, self.conn
-        self.process = self.conn = None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(2.0)
-            if process.is_alive():
-                process.kill()
-                process.join(2.0)
-
-    # -- task execution ----------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            task = self.fleet._tasks.get()
-            if task is _STOP:
-                break
-            try:
-                self._execute(task)
-            except Exception as exc:  # supervision must never die
-                if not task.future.done():
-                    task.future.set_exception(exc)
-        self._kill_worker()
-
-    def _execute(self, task: _Task) -> None:
-        attempt = task.attempt
-        while True:
-            if self.fleet._stopping:
-                task.future.set_exception(
-                    WorkerCrashed("fleet is shutting down"))
-                return
-            self._ensure_worker()
-            self.preempt_requested = False
-            self.current = task
-            started = time.monotonic()
-            timeout_s = task.spec.get("timeout_s")
-            try:
-                self.conn.send((task.spec, attempt))
-                status, payload = self._supervise(started, timeout_s)
-            except (BrokenPipeError, OSError, EOFError):
-                status, payload = "crashed", None
-            finally:
-                self.current = None
-            if status == "ok":
-                frames, telemetry = payload
-                merge_shard_telemetry(telemetry)
-                task.future.set_result(frames)
-                return
-            if status == "preempted":
-                self._kill_worker()
-                if self.fleet._stopping:
-                    # Shutdown reuses the preemption signal to unblock
-                    # a supervisor stuck on a hung worker.
-                    task.future.set_exception(
-                        WorkerCrashed("fleet is shutting down"))
-                    return
-                obs.counter("service.preemptions").inc()
-                _log.info("fleet.preempted", slot=self.index,
-                          attempt=attempt)
-                task.future.set_exception(Preempted(
-                    f"worker {self.index} reclaimed for higher-priority "
-                    f"work (attempt {attempt})"))
-                return
-            if status == "timeout":
-                obs.counter("service.worker_timeouts").inc()
-                _log.warning("fleet.worker_timeout", slot=self.index,
-                             attempt=attempt, timeout_s=timeout_s)
-                self._kill_worker()
-                task.future.set_exception(WorkerTimeout(
-                    f"request exceeded its {timeout_s:g}s hard wall "
-                    f"deadline; worker killed (attempt {attempt})"))
-                return
-            # Crashed: the worker died under the request (segfault, OOM
-            # kill, injected os._exit).  Bounded retry with backoff.
-            obs.counter("service.worker_crashes").inc()
-            exitcode = self.process.exitcode if self.process else None
-            _log.warning("fleet.worker_crashed", slot=self.index,
-                         attempt=attempt, exitcode=exitcode)
-            self._kill_worker()
-            attempt += 1
-            if attempt > task.attempt + self.fleet.retries:
-                task.future.set_exception(WorkerCrashed(
-                    f"request killed its worker on "
-                    f"{self.fleet.retries + 1} consecutive attempts "
-                    f"(last exit code {exitcode})"))
-                return
-            obs.counter("service.request_retries").inc()
-            delay = self.fleet.retry_backoff * (
-                2 ** (attempt - task.attempt - 1))
-            time.sleep(min(delay, 2.0))
-
-    def _supervise(self, started: float, timeout_s: Optional[float]):
-        """Poll the worker until it answers, dies, hangs past its
-        deadline, or is preempted."""
-        while True:
-            if self.conn.poll(_POLL_SECONDS):
-                try:
-                    return "ok", self.conn.recv()
-                except (EOFError, OSError):
-                    return "crashed", None
-            if self.process is None or not self.process.is_alive():
-                return "crashed", None
-            if self.preempt_requested:
-                return "preempted", None
-            if timeout_s is not None and \
-                    time.monotonic() - started > timeout_s:
-                return "timeout", None
+def _worker_task(contexts: HotCache, payload, emit) -> List[Dict[str, Any]]:
+    """Run one ``(spec, attempt)`` task in a fleet worker."""
+    spec, attempt = payload
+    fault = spec.get("fleet_fault") or {}
+    if attempt in tuple(fault.get("crash_attempts", ())):
+        # Hard death before any compute: skips every finally/atexit,
+        # exactly like an OOM kill of the worker.
+        os._exit(int(fault.get("crash_exit_code", 23)))
+    if attempt in tuple(fault.get("hang_attempts", ())):
+        time.sleep(float(fault.get("hang_s", 30.0)))
+    return run_work(spec, contexts)
 
 
 class WorkerFleet:
@@ -473,25 +255,77 @@ class WorkerFleet:
         if size < 1:
             raise ValueError(f"fleet needs >= 1 worker, got {size}")
         self.size = size
-        self.cache_size = cache_size
         self.retries = retries
         self.retry_backoff = retry_backoff
         self._stopping = False
-        self._tasks: "queue.Queue" = queue.Queue()
-        self._slots = [_WorkerSlot(self, i) for i in range(size)]
+        self._pool = WorkerPool(size, _worker_init, (cache_size,),
+                                _worker_task, name="fleet",
+                                on_spawn=lambda: obs.counter(
+                                    "service.worker_respawns").inc())
 
     @property
     def width(self) -> int:
         return self.size
 
     def submit(self, spec: Dict[str, Any], attempt: int = 0) -> Future:
-        task = _Task(spec=spec, attempt=attempt)
+        future: Future = Future()
+        self._dispatch(spec, attempt, attempt, future)
+        return future
+
+    def _dispatch(self, spec: Dict[str, Any], first: int, attempt: int,
+                  future: Future) -> None:
         if self._stopping:
-            task.future.set_exception(
-                WorkerCrashed("fleet is shutting down"))
-            return task.future
-        self._tasks.put(task)
-        return task.future
+            future.set_exception(WorkerCrashed("fleet is shutting down"))
+            return
+        task = self._pool.submit((spec, attempt),
+                                 timeout=spec.get("timeout_s"))
+        task.future.add_done_callback(
+            lambda done: self._settle(done.result(), spec, first, attempt,
+                                      future))
+
+    def _settle(self, outcome: Attempt, spec: Dict[str, Any], first: int,
+                attempt: int, future: Future) -> None:
+        """Map one attempt onto the request future (runs on the pool's
+        supervising thread): answer, retry a crash, or fail."""
+        if outcome.status == FINISHED:
+            if outcome.error is not None:  # run_work renders its own
+                future.set_exception(outcome.error)
+            else:
+                future.set_result(outcome.accept())
+            return
+        if self._stopping:
+            future.set_exception(WorkerCrashed("fleet is shutting down"))
+            return
+        if outcome.status == KILLED:
+            obs.counter("service.preemptions").inc()
+            _log.info("fleet.preempted", attempt=attempt)
+            future.set_exception(Preempted(
+                f"worker reclaimed for higher-priority work "
+                f"(attempt {attempt})"))
+            return
+        if outcome.status == TIMED_OUT:
+            timeout_s = spec.get("timeout_s")
+            obs.counter("service.worker_timeouts").inc()
+            _log.warning("fleet.worker_timeout", attempt=attempt,
+                         timeout_s=timeout_s)
+            future.set_exception(WorkerTimeout(
+                f"request exceeded its {timeout_s:g}s hard wall "
+                f"deadline; worker killed (attempt {attempt})"))
+            return
+        # Crashed: the worker died under the request (segfault, OOM
+        # kill, injected os._exit).  Bounded retry with backoff.
+        obs.counter("service.worker_crashes").inc()
+        _log.warning("fleet.worker_crashed", attempt=attempt,
+                     exitcode=outcome.exitcode)
+        if attempt + 1 > first + self.retries:
+            future.set_exception(WorkerCrashed(
+                f"request killed its worker on {self.retries + 1} "
+                f"consecutive attempts (last exit code "
+                f"{outcome.exitcode})"))
+            return
+        obs.counter("service.request_retries").inc()
+        time.sleep(min(self.retry_backoff * 2 ** (attempt - first), 2.0))
+        self._dispatch(spec, first, attempt + 1, future)
 
     def preemptible(self) -> bool:
         return True
@@ -500,11 +334,9 @@ class WorkerFleet:
         """Reclaim one worker running a preemptible hog (an uncapped
         ``exhaustive`` request); returns whether a preemption was
         requested."""
-        for slot in self._slots:
-            task = slot.current
-            if (task is not None and task.spec.get("hog")
-                    and not slot.preempt_requested):
-                slot.preempt_requested = True
+        for task in self._pool.running():
+            spec, _attempt = task.payload
+            if spec.get("hog") and self._pool.kill(task):
                 return True
         return False
 
@@ -512,10 +344,8 @@ class WorkerFleet:
         return {
             "mode": "fleet",
             "width": self.size,
-            "workers_alive": sum(
-                1 for s in self._slots
-                if s.process is not None and s.process.is_alive()),
-            "busy": sum(1 for s in self._slots if s.current is not None),
+            "workers_alive": self._pool.alive(),
+            "busy": len(self._pool.running()),
             "crashes": obs.counter("service.worker_crashes").value,
             "retries": obs.counter("service.request_retries").value,
             "preemptions": obs.counter("service.preemptions").value,
@@ -523,12 +353,4 @@ class WorkerFleet:
 
     def shutdown(self) -> None:
         self._stopping = True
-        for slot in self._slots:
-            # Busy supervisors notice within one poll period instead of
-            # waiting out a hung (or long) request.
-            slot.preempt_requested = True
-        for _ in self._slots:
-            self._tasks.put(_STOP)
-        for slot in self._slots:
-            slot.thread.join(5.0)
-            slot._kill_worker()
+        self._pool.shutdown()
